@@ -84,9 +84,12 @@ pub fn read_coo<R: BufRead>(reader: R) -> Result<CooMatrix, MmError> {
     let pattern = field == "pattern";
     let symmetric = symmetry != "general";
 
-    // Size line: first non-comment line.
+    // Size line: first non-comment line. Its counts are untrusted input:
+    // they size no allocation (entries grow with the lines actually
+    // read), and the declared nnz must match the entries the file holds.
     let mut dims: Option<(usize, usize, usize)> = None;
     let mut entries: Vec<(u32, u32, f64)> = Vec::new();
+    let mut read = 0usize;
     for (lineno, line) in lines {
         let line = line?;
         let t = line.trim();
@@ -98,7 +101,13 @@ pub fn read_coo<R: BufRead>(reader: R) -> Result<CooMatrix, MmError> {
             let nr: usize = parse_tok(&mut it, lineno, "rows")?;
             let nc: usize = parse_tok(&mut it, lineno, "cols")?;
             let nnz: usize = parse_tok(&mut it, lineno, "nnz")?;
-            entries.reserve(if symmetric { nnz * 2 } else { nnz });
+            // Indices become `VertexId`s, which a larger dimension would
+            // silently truncate.
+            if nr.max(nc) > VertexId::MAX as usize {
+                return Err(MmError::Format(format!(
+                    "dimensions {nr}x{nc} exceed the u32 vertex index range"
+                )));
+            }
             dims = Some((nr, nc, nnz));
             continue;
         }
@@ -117,12 +126,18 @@ pub fn read_coo<R: BufRead>(reader: R) -> Result<CooMatrix, MmError> {
             parse_tok(&mut it, lineno, "value")?
         };
         let (r, c) = ((r - 1) as u32, (c - 1) as u32);
+        read += 1;
         entries.push((r, c, v));
         if symmetric && r != c {
             entries.push((c, r, if symmetry == "skew-symmetric" { -v } else { v }));
         }
     }
-    let (nrows, ncols, _) = dims.ok_or_else(|| MmError::Format("missing size line".into()))?;
+    let (nrows, ncols, nnz) = dims.ok_or_else(|| MmError::Format("missing size line".into()))?;
+    if read != nnz {
+        return Err(MmError::Format(format!(
+            "size line declares {nnz} entries, file has {read}"
+        )));
+    }
     Ok(CooMatrix {
         nrows,
         ncols,
@@ -273,6 +288,31 @@ mod tests {
         assert!(matches!(
             read_graph(Cursor::new(mtx)),
             Err(MmError::Parse { .. })
+        ));
+    }
+
+    #[test]
+    fn header_counts_are_not_trusted() {
+        // A three-line file declaring 10^11 entries: the count must size
+        // no allocation, and it does not match the entries present.
+        let evil = "\
+%%MatrixMarket matrix coordinate pattern symmetric
+2 2 100000000000
+2 1
+";
+        assert!(matches!(
+            read_coo(Cursor::new(evil)),
+            Err(MmError::Format(_))
+        ));
+        // One row past the u32 index range would truncate indices.
+        let wide = "\
+%%MatrixMarket matrix coordinate pattern general
+4294967296 4294967296 1
+4294967296 1
+";
+        assert!(matches!(
+            read_coo(Cursor::new(wide)),
+            Err(MmError::Format(_))
         ));
     }
 

@@ -1,8 +1,7 @@
 //! Protocol clients: the blocking v1 [`Client`] (one request line out,
-//! one response line back), the windowed v2 [`PipelinedClient`] that
-//! keeps many tagged requests in flight and reassembles responses by
-//! tag, and the binary v3 [`V3Client`] — the same windowed shape over
-//! the length-prefixed frames of [`crate::codec`].
+//! one response line back), the binary v3 [`V3Client`] that keeps a
+//! window of length-prefixed frames (see [`crate::codec`]) in flight and
+//! reassembles responses by tag, and the shard-aware [`ShardedClient`].
 //!
 //! All are used by the e2e tests, the `mis2svc` bin, and the CI smoke
 //! legs.
@@ -11,7 +10,6 @@ use crate::codec;
 use crate::proto::{self, Request};
 use crate::registry;
 use crate::shard::{shard_key, Ring};
-use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
@@ -109,168 +107,19 @@ impl Client {
     }
 }
 
-/// A v2 pipelined client: writes a *window* of tagged requests before the
-/// first response is read, reads responses as they arrive — in completion
-/// order, not request order — and reassembles them by tag.
-///
-/// The connection upgrades at construction time (`V2` hello); the window
-/// is clamped to the server's advertised `max_inflight`, so the client
-/// never sends a request the server's reader would refuse to accept into
-/// its window.
-pub struct PipelinedClient {
-    // Buffered: a window refill becomes one write syscall at the flush,
-    // not one per request line.
-    writer: BufWriter<TcpStream>,
-    reader: BufReader<TcpStream>,
-    next_tag: u64,
-    window: usize,
-    poisoned: bool,
-    latencies_ns: Vec<u64>,
-}
-
-impl PipelinedClient {
-    /// Connect and upgrade to v2 framing, keeping up to `window` requests
-    /// in flight (clamped to `1..=server max_inflight`).
-    pub fn connect<A: ToSocketAddrs>(addr: A, window: usize) -> io::Result<PipelinedClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let mut writer = BufWriter::new(stream.try_clone()?);
-        let mut reader = BufReader::new(stream);
-        writeln!(writer, "{}", proto::HELLO_V2)?;
-        writer.flush()?;
-        let hello = read_response_line(&mut reader)?;
-        let server_max = proto::parse_hello_ok(&hello)
-            .filter(|max| *max > 0)
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("server rejected the V2 hello: {hello}"),
-                )
-            })?;
-        Ok(PipelinedClient {
-            writer,
-            reader,
-            next_tag: 0,
-            window: window.clamp(1, server_max),
-            poisoned: false,
-            latencies_ns: Vec::new(),
-        })
-    }
-
-    /// Client-observed latency of each request in the **last completed**
-    /// [`PipelinedClient::request_many`] batch, in nanoseconds, indexed
-    /// like the batch's lines. Measured from the moment the request was
-    /// written into the pipeline to the moment its response was
-    /// reassembled — so it includes queueing behind the window. Copy the
-    /// slice out before `quit()`, which consumes the client.
-    pub fn last_latencies_ns(&self) -> &[u64] {
-        &self.latencies_ns
-    }
-
-    /// The effective window after clamping to the server's cap.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Bound how long a read for the next response may block (`None` =
-    /// forever, the default).
-    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.reader.get_ref().set_read_timeout(timeout)
-    }
-
-    /// Send every request, keeping up to `window` of them in flight, and
-    /// return the responses **in request order** (tags stripped) — the
-    /// wire order is completion order; the tags are what put them back.
-    ///
-    /// Tags are assigned from this client's private counter, so they are
-    /// unique across the connection's lifetime; a response carrying an
-    /// unknown or already-answered tag (or the server's `T?` marker) is a
-    /// protocol error surfaced as `InvalidData`. Any error poisons the
-    /// connection — un-retired tags may still be in flight, so the
-    /// framing can no longer be trusted; later calls fail fast and the
-    /// caller should reconnect.
-    pub fn request_many<S: AsRef<str>>(&mut self, lines: &[S]) -> io::Result<Vec<String>> {
-        if self.poisoned {
-            return Err(poisoned_error());
-        }
-        let attempt = self.request_many_inner(lines);
-        if attempt.is_err() {
-            self.poisoned = true;
-        }
-        attempt
-    }
-
-    fn request_many_inner<S: AsRef<str>>(&mut self, lines: &[S]) -> io::Result<Vec<String>> {
-        let mut results: Vec<Option<String>> = Vec::with_capacity(lines.len());
-        results.resize_with(lines.len(), || None);
-        let mut tag_to_index: HashMap<u64, usize> = HashMap::with_capacity(self.window);
-        let mut sent_at: Vec<Instant> = Vec::with_capacity(lines.len());
-        self.latencies_ns.clear();
-        self.latencies_ns.resize(lines.len(), 0);
-        let mut sent = 0;
-        let mut received = 0;
-        while received < lines.len() {
-            // Refill the window, batching the writes into one flush.
-            let mut wrote = false;
-            while sent < lines.len() && sent - received < self.window {
-                let tag = self.next_tag;
-                self.next_tag += 1;
-                writeln!(self.writer, "T{tag} {}", lines[sent].as_ref())?;
-                tag_to_index.insert(tag, sent);
-                sent_at.push(Instant::now());
-                sent += 1;
-                wrote = true;
-            }
-            if wrote {
-                self.writer.flush()?;
-            }
-            // Take the next response, whichever request it answers.
-            let response = read_response_line(&mut self.reader)?;
-            if response.starts_with(proto::UNKNOWN_TAG) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("server could not frame a request: {response}"),
-                ));
-            }
-            let (tag, payload) = proto::split_tagged(&response)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            let index = tag_to_index.remove(&tag).ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("response for unknown or duplicate tag T{tag}: {payload}"),
-                )
-            })?;
-            results[index] = Some(payload.to_string());
-            self.latencies_ns[index] = sent_at[index].elapsed().as_nanos() as u64;
-            received += 1;
-        }
-        Ok(results.into_iter().map(|r| r.unwrap()).collect())
-    }
-
-    /// Single-request convenience over [`PipelinedClient::request_many`].
-    pub fn request(&mut self, line: &str) -> io::Result<String> {
-        Ok(self.request_many(&[line])?.pop().unwrap())
-    }
-
-    /// Polite close: tagged `QUIT` (the server drains every in-flight
-    /// response first, so `BYE` is the last line) and drop the connection.
-    pub fn quit(mut self) -> io::Result<()> {
-        let _ = self.request("QUIT")?;
-        Ok(())
-    }
-}
-
-/// A v3 binary-frame client: the windowed, tag-reassembling shape of
-/// [`PipelinedClient`] over the length-prefixed frames of
-/// [`crate::codec`] — no response-line parsing, just fixed-offset header
-/// reads.
+/// A v3 binary-frame client: writes a *window* of tagged frames before
+/// the first response is read, reads responses as they arrive — in
+/// completion order, not request order — and reassembles them by tag. No
+/// response-line parsing, just fixed-offset header reads.
 ///
 /// The connection upgrades at construction time (`V3` text hello; the
 /// server's `OK V3 max_inflight=N` answer is the last text line on the
 /// wire). Responses come back as frames whose status byte replaces the
 /// `OK `/`ERR ` prefix; [`V3Client::request_many`] renders each back to
 /// its v1-equivalent text line, which keeps every caller (tests, bin
-/// sweeps, benches) byte-comparable across all three protocols.
+/// sweeps, benches) byte-comparable across both protocols. The window is
+/// clamped to the server's advertised `max_inflight`, so the client never
+/// sends a request the server would refuse to accept into its window.
 pub struct V3Client {
     // Buffered: a window refill becomes one write syscall at the flush,
     // not one per frame.
@@ -312,8 +161,11 @@ impl V3Client {
     }
 
     /// Client-observed latency of each request in the **last completed**
-    /// [`V3Client::request_many`] batch — same contract as
-    /// [`PipelinedClient::last_latencies_ns`].
+    /// [`V3Client::request_many`] batch, in nanoseconds, indexed like the
+    /// batch's lines. Measured from the moment the request was written
+    /// into the pipeline to the moment its response was reassembled — so
+    /// it includes queueing behind the window. Copy the slice out before
+    /// `quit()`, which consumes the client.
     pub fn last_latencies_ns(&self) -> &[u64] {
         &self.latencies_ns
     }
@@ -331,8 +183,14 @@ impl V3Client {
 
     /// Send every request as a frame, keeping up to `window` in flight,
     /// and return the responses **in request order**, rendered to their
-    /// v1 text form (`OK <body>` / `ERR <body>`). Same tag discipline and
-    /// poisoning rules as [`PipelinedClient::request_many`].
+    /// v1 text form (`OK <body>` / `ERR <body>`).
+    ///
+    /// Tags are assigned from this client's private counter, so they are
+    /// unique across the connection's lifetime; a response carrying an
+    /// unknown or already-answered tag is a protocol error surfaced as
+    /// `InvalidData`. Any error poisons the connection — un-retired tags
+    /// may still be in flight, so the framing can no longer be trusted;
+    /// later calls fail fast and the caller should reconnect.
     pub fn request_many<S: AsRef<str>>(&mut self, lines: &[S]) -> io::Result<Vec<String>> {
         if self.poisoned {
             return Err(poisoned_error());
@@ -615,9 +473,10 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         std::thread::spawn(move || {
             let (mut s, _) = listener.accept().unwrap();
-            // Consume the request line so the client's write can't fail.
-            let mut buf = [0u8; 256];
-            let _ = std::io::Read::read(&mut s, &mut buf);
+            // Consume the whole request line — it may arrive in more than
+            // one segment — so closing with unread bytes can't turn the
+            // client's EOF into a connection reset.
+            let _ = BufReader::new(&s).read_line(&mut String::new());
             s.write_all(response).unwrap();
             // Drop closes the connection.
         });

@@ -234,28 +234,20 @@ impl Op {
 pub enum Outcome {
     /// Served inline from the interned response-byte cache (v3 fast path).
     RespHit = 0,
-    /// Served inline after the hot-key parse memo skipped the parse.
-    MemoHit = 1,
     /// Went through the scheduler and computed (or answered inline for
     /// STATS/METRICS/PING-class requests).
-    Computed = 2,
+    Computed = 1,
     /// Answered with an ERR response.
-    Error = 3,
+    Error = 2,
 }
 
-pub const NOUTCOMES: usize = 4;
-pub const OUTCOMES: [Outcome; NOUTCOMES] = [
-    Outcome::RespHit,
-    Outcome::MemoHit,
-    Outcome::Computed,
-    Outcome::Error,
-];
+pub const NOUTCOMES: usize = 3;
+pub const OUTCOMES: [Outcome; NOUTCOMES] = [Outcome::RespHit, Outcome::Computed, Outcome::Error];
 
 impl Outcome {
     pub fn label(self) -> &'static str {
         match self {
             Outcome::RespHit => "resp_hit",
-            Outcome::MemoHit => "memo_hit",
             Outcome::Computed => "computed",
             Outcome::Error => "error",
         }
@@ -775,7 +767,7 @@ impl Metrics {
     /// the slow threshold — into a single pair of atomic adds per
     /// `(op, outcome, bucket)` run. At v3-w64 rates the writer retires
     /// bursts of near-identical cache hits, and the per-span RMWs are
-    /// the dominant recording cost; a run of 64 memo hits costs two
+    /// the dominant recording cost; a run of 64 cache hits costs two
     /// adds instead of 128. Scheduled and slow spans fall through to
     /// [`Metrics::record`] unchanged.
     pub fn record_batch(&self, spans: &mut Vec<Span>, retired: Instant) {
@@ -1338,14 +1330,9 @@ mod tests {
         assert_eq!(m.slow_captured(), 2);
 
         // A clock-free fast span behaves the same way.
-        let span = Span::fast(
-            Some(Instant::now()),
-            Op::Mis2,
-            Outcome::MemoHit,
-            "af_shell7",
-        );
+        let span = Span::fast(Some(Instant::now()), Op::Mis2, Outcome::Error, "af_shell7");
         m.record(&span.unwrap(), Instant::now());
-        assert_eq!(m.latency_snapshot(Op::Mis2, Outcome::MemoHit).count(), 1);
+        assert_eq!(m.latency_snapshot(Op::Mis2, Outcome::Error).count(), 1);
         assert_eq!(m.stage_snapshot(Stage::Write).count(), 1);
         assert_eq!(m.requests_total(), 3);
     }
@@ -1359,7 +1346,7 @@ mod tests {
         let t0 = Instant::now();
         let retired = t0 + Duration::from_micros(500);
         let mut batch = Vec::new();
-        // A run of identical memo hits, an outcome switch, a bucket
+        // A run of identical cache hits, an outcome switch, a bucket
         // switch (earlier start => bigger total), and a scheduled span
         // breaking the run in the middle.
         for i in 0..8u64 {
@@ -1369,9 +1356,9 @@ mod tests {
                 t0
             };
             let outcome = if i >= 6 {
-                Outcome::RespHit
+                Outcome::Computed
             } else {
-                Outcome::MemoHit
+                Outcome::RespHit
             };
             let make = || Span::fast(Some(start), Op::Mis2, outcome, "g").unwrap();
             per_span.record(&make(), retired);

@@ -1,15 +1,15 @@
-//! The loopback TCP server: accepts line-protocol (v1/v2) and binary
-//! (v3) connections and pipelines their compute requests through the
+//! The loopback TCP server: accepts line-protocol (v1) and binary (v3)
+//! connections and pipelines their compute requests through the
 //! batching scheduler.
 //!
 //! # One state machine, two I/O backends
 //!
 //! Protocol behavior lives in ONE place — the shared **connection state
-//! machine** ([`FrameDecoder`] + [`ConnMachine`]): hello negotiation
-//! (`V2`/`V3` upgrades), v1/v2 line framing and v3 binary framing,
-//! per-request window-slot accounting, inline `PING`/`STATS`/`METRICS`,
-//! the v3 zero-serialization cache probe and hot-key parse memo, parse
-//! and framing errors, and the draining `QUIT`. The machine is sans-I/O:
+//! machine** ([`FrameDecoder`] + [`ConnMachine`]): the `V3` upgrade
+//! hello, v1 line framing and v3 binary framing, per-request window-slot
+//! accounting, inline `PING`/`STATS`/`METRICS`, the v3
+//! zero-serialization cache probe, parse and framing errors, and the
+//! draining `QUIT`. The machine is sans-I/O:
 //! it consumes framed items extracted from a byte buffer and emits
 //! effects through the small [`ConnIo`] seam (acquire a window slot,
 //! enqueue a response, mint a [`CompletionSink`] for a scheduler
@@ -39,7 +39,7 @@
 //! and compute requests are submitted to the shared [`Scheduler`] in
 //! completion mode — the worker-leader that finishes a job pushes its
 //! response straight into the writer channel, so responses are written in
-//! *completion* order (tagged, on v2/v3 connections, so the client can
+//! *completion* order (tagged, on v3 connections, so the client can
 //! reassemble; v1 connections cap the window at 1, which preserves the
 //! classic request-order contract). On v3 connections a request whose
 //! serialized response bytes are already interned in the [`Registry`]
@@ -175,7 +175,7 @@ pub struct ServerConfig {
     /// are evicted artifacts-first in LRU order (see [`Registry`]).
     pub mem_budget: usize,
     /// Per-connection in-flight window: how many requests a pipelined
-    /// v2/v3 connection may have outstanding (accepted but response not
+    /// v3 connection may have outstanding (accepted but response not
     /// yet written) before its reader stops accepting more (0 = 64). v1
     /// connections always run with a window of 1.
     pub max_inflight: usize,
@@ -612,7 +612,7 @@ pub(crate) struct Outgoing {
 
 /// The wire form of one outgoing response.
 pub(crate) enum Payload {
-    /// A v1/v2 text line, written with a trailing `\n`.
+    /// A v1 text line, written with a trailing `\n`.
     Line(String),
     /// A v3 response: 13-byte binary header stamped by the writer,
     /// payload either rendered text or interned registry bytes (written
@@ -856,8 +856,9 @@ pub(crate) fn writer_loop(
     }
 }
 
-/// How bytes on the wire are framed right now: newline-terminated lines
-/// (v1 and v2) or 13-byte-header binary frames (after the `V3` hello).
+/// How bytes on the wire are framed right now: newline-terminated v1
+/// lines, or 13-byte-header binary frames after the `V3` hello. This is
+/// also the connection's protocol mode.
 #[derive(Clone, Copy, PartialEq)]
 pub(crate) enum WireMode {
     Lines,
@@ -1032,65 +1033,19 @@ fn send_response(item: Outgoing, tx: &SyncSender<Outgoing>, win: &ConnWindow, st
     }
 }
 
-/// [`send_response`] for a v1/v2 text line without a metrics span (the
-/// shard router's sends — the router doesn't record request metrics).
-pub(crate) fn send_line(
-    line: String,
+/// [`send_response`] without a metrics span (the shard router's sends —
+/// the router doesn't record request metrics).
+pub(crate) fn send_payload(
+    payload: Payload,
     tx: &SyncSender<Outgoing>,
     win: &ConnWindow,
     stats: &SvcStats,
 ) {
-    send_line_span(line, None, tx, win, stats);
-}
-
-/// [`send_response`] for a v1/v2 text line carrying its request's span.
-pub(crate) fn send_line_span(
-    line: String,
-    span: Option<metrics::Span>,
-    tx: &SyncSender<Outgoing>,
-    win: &ConnWindow,
-    stats: &SvcStats,
-) {
-    send_response(
-        Outgoing {
-            payload: Payload::Line(line),
-            span,
-        },
-        tx,
-        win,
-        stats,
-    );
-}
-
-/// [`send_response`] for a v3 frame under `tag` without a metrics span.
-pub(crate) fn send_frame(
-    tag: u64,
-    resp: ops::Response,
-    tx: &SyncSender<Outgoing>,
-    win: &ConnWindow,
-    stats: &SvcStats,
-) {
-    send_frame_span(tag, resp, None, tx, win, stats);
-}
-
-/// [`send_response`] for a v3 frame carrying its request's span.
-pub(crate) fn send_frame_span(
-    tag: u64,
-    resp: ops::Response,
-    span: Option<metrics::Span>,
-    tx: &SyncSender<Outgoing>,
-    win: &ConnWindow,
-    stats: &SvcStats,
-) {
-    send_response(
-        Outgoing {
-            payload: Payload::Frame { tag, resp },
-            span,
-        },
-        tx,
-        win,
-        stats,
-    );
+    let item = Outgoing {
+        payload,
+        span: None,
+    };
+    send_response(item, tx, win, stats);
 }
 
 /// Map a parsed request to its metrics op label and graph key.
@@ -1122,24 +1077,18 @@ fn inline_span(
 pub(crate) enum Framing {
     /// v1: the bare response line.
     Bare,
-    /// v2: `T<tag> <line>`.
-    Tagged(u64),
-    /// v2, tag unrecoverable: the reserved `T?` marker.
-    Unknown,
     /// v3: a binary frame under `tag`.
     V3(u64),
 }
 
 impl Framing {
-    /// Render `resp` under this framing: text lines for v1/v2 (the
+    /// Render `resp` under this framing: a text line for v1 (the
     /// rendering [`ops::Response::to_line`] shares with `proto::ok`/
     /// `proto::err`), a binary frame for v3 — where interned bodies stay
     /// zero-copy all the way to the batch encoder.
     pub(crate) fn wrap(self, resp: ops::Response) -> Payload {
         match self {
             Framing::Bare => Payload::Line(resp.to_line()),
-            Framing::Tagged(t) => Payload::Line(proto::tagged(t, &resp.to_line())),
-            Framing::Unknown => Payload::Line(proto::tagged_unknown(&resp.to_line())),
             Framing::V3(tag) => Payload::Frame { tag, resp },
         }
     }
@@ -1182,14 +1131,6 @@ pub(crate) trait ConnIo {
     fn sink(&self) -> Arc<dyn CompletionSink>;
 }
 
-/// Protocol mode of one connection: v1 until an upgrade hello arrives.
-#[derive(Clone, Copy, PartialEq)]
-enum ProtoMode {
-    V1,
-    V2,
-    V3,
-}
-
 /// Outcome of [`ConnMachine::dispatch`]: either the item was fully
 /// handled, or it is a compute request the caller must schedule (after
 /// its protocol-specific cache-probe policy).
@@ -1198,68 +1139,43 @@ enum Handled {
     Compute(Request),
 }
 
-/// The connection state machine both I/O backends drive: hello
-/// negotiation (`V2`/`V3` upgrades), v1/v2 tagged lines and v3 binary
-/// frames, per-request window-slot accounting, inline
-/// `PING`/`STATS`/`METRICS`, the v3 zero-serialization cache probe with
-/// its one-entry hot-key parse memo, parse and framing errors, and the
+/// The connection state machine both I/O backends drive: the `V3`
+/// upgrade hello, v1 lines and v3 binary frames, per-request window-slot
+/// accounting, inline `PING`/`STATS`/`METRICS`, the v3
+/// zero-serialization cache probe, parse and framing errors, and the
 /// draining `QUIT`. Sans-I/O: items come from a [`FrameDecoder`],
 /// effects leave through a [`ConnIo`].
 ///
 /// The v3 fast path deserves its own note. A compute request whose
 /// serialized response bytes are already interned is answered straight
 /// from the reader via [`Registry::try_response`] — no scheduler, no
-/// re-render, no payload allocation. On top of the probe sits the
-/// **hot-key parse memo**: when an inline hit is served for a *suite*
-/// graph, the raw request bytes and the parsed [`Request`] are
-/// remembered, and a byte-identical next request skips UTF-8 validation
-/// and parsing. The memoized request still goes through the normal
-/// `try_response` probe, which is deliberate: an earlier version
-/// memoized the interned `Arc` itself and served repeats without
-/// touching the registry, so a graph served exclusively from the memo
-/// never refreshed its resp/artifact/graph LRU stamps, looked
-/// LRU-coldest, and was the first thing evicted under `--mem-budget`
-/// pressure — the hottest key on the connection thrashed in and out of
-/// the cache. Probing the registry per request keeps the stamps (and
-/// the `hits`/`resp_hits` counters) exact while still skipping the
-/// per-repeat parse work.
+/// re-render, no payload allocation. Every request takes that one probe,
+/// so the registry's LRU stamps and its `hits`/`resp_hits` counters stay
+/// exact: a hot key refreshes its stamps on every repeat and is never the
+/// first victim under `--mem-budget` pressure.
 pub(crate) struct ConnMachine {
-    mode: ProtoMode,
-    memo: Option<(Vec<u8>, Request)>,
+    mode: WireMode,
 }
 
 impl ConnMachine {
     pub(crate) fn new() -> ConnMachine {
         ConnMachine {
-            mode: ProtoMode::V1,
-            memo: None,
+            mode: WireMode::Lines,
         }
     }
 
     /// The wire framing the decoder should apply to the *next* item.
     pub(crate) fn wire_mode(&self) -> WireMode {
-        match self.mode {
-            ProtoMode::V3 => WireMode::Frames,
-            _ => WireMode::Lines,
-        }
+        self.mode
     }
 
     /// The in-flight window cap in force right now: v1 connections keep
-    /// the classic one-in-flight, in-order contract; v2/v3 open the
-    /// window to the configured cap.
+    /// the classic one-in-flight, in-order contract; v3 opens the window
+    /// to the configured cap.
     pub(crate) fn cap(&self, cx: &ConnShared) -> usize {
         match self.mode {
-            ProtoMode::V1 => 1,
-            _ => cx.max_inflight,
-        }
-    }
-
-    /// Framing for a line whose tag cannot be recovered: bare on v1, the
-    /// reserved `T?` marker on v2.
-    fn unframeable(&self) -> Framing {
-        match self.mode {
-            ProtoMode::V2 => Framing::Unknown,
-            _ => Framing::Bare,
+            WireMode::Lines => 1,
+            WireMode::Frames => cx.max_inflight,
         }
     }
 
@@ -1279,11 +1195,9 @@ impl ConnMachine {
             Inbound::Line(bytes) => self.handle_line(bytes, t0, cx, io),
             Inbound::Frame { tag, payload } => self.handle_frame(tag, payload, t0, cx, io),
             Inbound::OverlongLine => {
-                // Acquire under the *current* cap — with a pipelined
-                // window in flight this must not wait for a full drain.
                 io.acquire(self.cap(cx));
                 io.respond(Outgoing {
-                    payload: self.unframeable().wrap(ops::Response::err("line too long")),
+                    payload: Framing::Bare.wrap(ops::Response::err("line too long")),
                     span: inline_span(t0, metrics::Op::Other, metrics::Outcome::Error, ""),
                 });
                 Flow::Close // the rest of the line is unframeable
@@ -1291,8 +1205,7 @@ impl ConnMachine {
             Inbound::OversizedFrame { tag } => {
                 // The advertised length is hostile; nothing past this
                 // header can be trusted to frame. Answer under the
-                // frame's own tag (binary tags always parse, so there is
-                // no `T?` analog) and close — the v3 analog of v2's
+                // frame's own tag and close — the v3 analog of v1's
                 // over-long line.
                 io.acquire(cx.max_inflight);
                 io.respond(Outgoing {
@@ -1304,6 +1217,8 @@ impl ConnMachine {
         }
     }
 
+    /// One v1 line: the `V3` hello, or a request answered bare under the
+    /// one-slot v1 window.
     fn handle_line(
         &mut self,
         bytes: &[u8],
@@ -1317,7 +1232,7 @@ impl ConnMachine {
             // still frame fine: answer and keep the connection.
             io.acquire(cap);
             io.respond(Outgoing {
-                payload: self.unframeable().wrap(ops::Response::err("invalid utf-8")),
+                payload: Framing::Bare.wrap(ops::Response::err("invalid utf-8")),
                 span: inline_span(t0, metrics::Op::Other, metrics::Outcome::Error, ""),
             });
             return Flow::Continue;
@@ -1334,61 +1249,38 @@ impl ConnMachine {
         if trimmed == "PANIC" {
             panic!("injected connection-handler panic (test hook)");
         }
-        let (framing, parsed) = match self.mode {
-            ProtoMode::V1 if trimmed == proto::HELLO_V2 => {
-                io.acquire(cap);
-                io.respond(Outgoing {
-                    payload: Payload::Line(proto::hello_ok(cx.max_inflight)),
-                    span: inline_span(t0, metrics::Op::Other, metrics::Outcome::Computed, ""),
-                });
-                self.mode = ProtoMode::V2;
-                return Flow::Continue;
-            }
-            ProtoMode::V1 if trimmed == codec::HELLO_V3 => {
-                // Upgrade to binary framing: the hello answer is the
-                // last *text* line on the wire; from the next byte on,
-                // both directions speak 13-byte-header frames.
-                io.acquire(cap);
-                io.respond(Outgoing {
-                    payload: Payload::Line(codec::hello_ok(cx.max_inflight)),
-                    span: inline_span(t0, metrics::Op::Other, metrics::Outcome::Computed, ""),
-                });
-                self.mode = ProtoMode::V3;
-                return Flow::Continue;
-            }
-            ProtoMode::V1 => (Framing::Bare, Request::parse(trimmed)),
-            _ => match proto::split_tagged(trimmed) {
-                // The tag itself is unparseable (this covers v1-style
-                // untagged lines after the upgrade): answer under the
-                // reserved T? marker, keep the connection.
-                Err(e) => {
-                    io.acquire(cap);
-                    io.respond(Outgoing {
-                        payload: Framing::Unknown.wrap(ops::Response::err(&e)),
-                        span: inline_span(t0, metrics::Op::Other, metrics::Outcome::Error, ""),
-                    });
-                    return Flow::Continue;
-                }
-                Ok((tag, rest)) => (Framing::Tagged(tag), Request::parse(rest)),
-            },
-        };
-        match self.dispatch(parsed, framing, cap, t0, cx, io) {
+        if trimmed == codec::HELLO_V3 {
+            // Upgrade to binary framing: the hello answer is the last
+            // *text* line on the wire; from the next byte on, both
+            // directions speak 13-byte-header frames.
+            io.acquire(cap);
+            io.respond(Outgoing {
+                payload: Payload::Line(codec::hello_ok(cx.max_inflight)),
+                span: inline_span(t0, metrics::Op::Other, metrics::Outcome::Computed, ""),
+            });
+            self.mode = WireMode::Frames;
+            return Flow::Continue;
+        }
+        match self.dispatch(Request::parse(trimmed), Framing::Bare, cap, t0, cx, io) {
             Handled::Done(flow) => flow,
             Handled::Compute(req) => {
                 // Compute request: acquire a window slot, then submit in
-                // completion mode. The machine moves straight on to the
-                // next item — this is the pipelining. (No cache probe on
-                // the text protocols: their responses are re-rendered
-                // per request, so `execute_response` is the cache.)
+                // completion mode. (No cache probe on v1: its responses
+                // are re-rendered per request, so `execute_response` is
+                // the cache.)
                 io.acquire(cap);
                 let (op, key) = req_span_parts(&req);
                 let span = metrics::Span::start(t0, op, key);
-                self.submit(req, framing, span, cx, io);
+                self.submit(req, Framing::Bare, span, cx, io);
                 Flow::Continue
             }
         }
     }
 
+    /// One v3 frame: UTF-8 check, parse, then for a compute request one
+    /// timed [`Registry::try_response`] probe — an interned hit is
+    /// answered inline, a miss is submitted. The machine moves straight
+    /// on to the next item either way; this is the pipelining.
     fn handle_frame(
         &mut self,
         tag: u64,
@@ -1399,83 +1291,43 @@ impl ConnMachine {
     ) -> Flow {
         let cap = cx.max_inflight;
         let framing = Framing::V3(tag);
-        // Hot-key parse memo: a byte-identical repeat of the last inline
-        // hit reuses the parsed request — but still takes the normal
-        // try_response path below, so LRU stamps and hit counters
-        // refresh exactly as if the request had been parsed fresh.
-        // (Outcome-wise a memo repeat that hits is a `memo_hit`, a
-        // parsed request that hits is a `resp_hit`.)
-        let memo_hit = matches!(&self.memo, Some((key, _)) if key == payload);
-        let parsed = match &self.memo {
-            Some((key, req)) if key == payload => Ok(req.clone()),
-            _ => {
-                let Ok(text) = std::str::from_utf8(payload) else {
-                    // Lengths are explicit, so the stream stays framed:
-                    // reject this request, keep the connection.
-                    io.acquire(cap);
-                    io.respond(Outgoing {
-                        payload: framing.wrap(ops::Response::err("invalid utf-8")),
-                        span: inline_span(t0, metrics::Op::Other, metrics::Outcome::Error, ""),
-                    });
-                    return Flow::Continue;
-                };
-                Request::parse(text.trim_end_matches(['\r', '\n']))
-            }
+        let Ok(text) = std::str::from_utf8(payload) else {
+            // Lengths are explicit, so the stream stays framed: reject
+            // this request, keep the connection.
+            io.acquire(cap);
+            io.respond(Outgoing {
+                payload: framing.wrap(ops::Response::err("invalid utf-8")),
+                span: inline_span(t0, metrics::Op::Other, metrics::Outcome::Error, ""),
+            });
+            return Flow::Continue;
         };
+        let parsed = Request::parse(text.trim_end_matches(['\r', '\n']));
         let req = match self.dispatch(parsed, framing, cap, t0, cx, io) {
             Handled::Done(flow) => return flow,
             Handled::Compute(req) => req,
         };
         io.acquire(cap);
         let (op, key) = req_span_parts(&req);
-        let mut span;
+        let mut span = metrics::Span::start(t0, op, key);
         // Zero-serialization fast path: interned response bytes go
         // straight to the writer. The registry counts this as a hit (and
         // a resp_hit) so cache accounting stays exact.
         if let Some((graph, opkey)) = ops::request_op(&req) {
-            if memo_hit {
-                // Memo repeat: the memo already holds exactly this
-                // payload, and the probe is an in-memory lookup far
-                // under the histograms' 1µs floor — so the whole hit
-                // costs zero clock reads.
-                if let Some(bytes) = cx.registry.try_response(graph, &opkey) {
-                    let s = metrics::Span::fast(t0, op, metrics::Outcome::MemoHit, key);
-                    io.respond(Outgoing {
-                        payload: framing.wrap(ops::Response::interned(bytes)),
-                        span: s,
-                    });
-                    return Flow::Continue;
-                }
-                // Evicted since the memo was set: schedule; the (rare)
-                // probe goes untimed.
-                span = metrics::Span::start(t0, op, key);
-            } else {
-                span = metrics::Span::start(t0, op, key);
-                let probe_start = span.as_ref().map(|_| Instant::now());
-                let hit = cx.registry.try_response(graph, &opkey);
-                if let (Some(s), Some(p)) = (span.as_mut(), probe_start) {
-                    s.stamp_probe(p);
-                }
-                if let Some(bytes) = hit {
-                    // Memoize suite-graph hits only: suite names need no
-                    // filesystem canonicalization, so the cached parse
-                    // is always equivalent to a fresh one; an `.mtx`
-                    // path's resolution could change on disk.
-                    if matches!(graph, proto::GraphRef::Suite(_)) {
-                        self.memo = Some((payload.to_vec(), req.clone()));
-                    }
-                    if let Some(s) = span.as_mut() {
-                        s.outcome = metrics::Outcome::RespHit;
-                    }
-                    io.respond(Outgoing {
-                        payload: framing.wrap(ops::Response::interned(bytes)),
-                        span,
-                    });
-                    return Flow::Continue;
-                }
+            let probe_start = span.as_ref().map(|_| Instant::now());
+            let hit = cx.registry.try_response(graph, &opkey);
+            if let (Some(s), Some(p)) = (span.as_mut(), probe_start) {
+                s.stamp_probe(p);
             }
-        } else {
-            span = metrics::Span::start(t0, op, key);
+            if let Some(bytes) = hit {
+                if let Some(s) = span.as_mut() {
+                    s.outcome = metrics::Outcome::RespHit;
+                }
+                io.respond(Outgoing {
+                    payload: framing.wrap(ops::Response::interned(bytes)),
+                    span,
+                });
+                return Flow::Continue;
+            }
         }
         self.submit(req, framing, span, cx, io);
         Flow::Continue
@@ -1503,7 +1355,7 @@ impl ConnMachine {
         };
         match parsed {
             // Parse failures still carry the request's tag, so a
-            // pipelining client can correlate the error.
+            // pipelining v3 client can correlate the error.
             Err(e) => {
                 inline(io, ops::Response::err(&e), Op::Other, Outcome::Error);
                 Handled::Done(Flow::Continue)
@@ -1973,104 +1825,15 @@ mod tests {
         h.shutdown();
     }
 
-    /// Raw v2 socket for framing tests: hello already exchanged.
-    struct RawV2 {
-        w: TcpStream,
-        r: BufReader<TcpStream>,
-    }
-
-    impl RawV2 {
-        fn connect(addr: SocketAddr) -> RawV2 {
-            let s = TcpStream::connect(addr).unwrap();
-            s.set_nodelay(true).unwrap();
-            let mut raw = RawV2 {
-                w: s.try_clone().unwrap(),
-                r: BufReader::new(s),
-            };
-            raw.send(proto::HELLO_V2);
-            let hello = raw.recv();
-            assert!(
-                proto::parse_hello_ok(&hello).is_some(),
-                "bad hello response: {hello}"
-            );
-            raw
-        }
-
-        fn send(&mut self, line: &str) {
-            writeln!(self.w, "{line}").unwrap();
-            self.w.flush().unwrap();
-        }
-
-        fn recv(&mut self) -> String {
-            let mut line = String::new();
-            assert!(self.r.read_line(&mut line).unwrap() > 0, "unexpected EOF");
-            line.trim_end_matches(['\r', '\n']).to_string()
-        }
-    }
-
     #[test]
-    fn v2_hello_upgrades_and_responses_echo_tags() {
+    fn v2_hello_on_a_v1_connection_is_an_unknown_command() {
+        // `V2` is no hello: it is an unknown v1 command, answered ERR
+        // while the connection keeps serving v1.
         let h = serve(ServerConfig::default()).unwrap();
-        let mut c = RawV2::connect(h.addr());
-        c.send("T1 PING");
-        assert_eq!(c.recv(), "T1 OK PONG");
-        c.send("T2 STATS");
-        assert!(c.recv().starts_with("T2 OK STATS graphs="));
-        c.send(&format!("T{} PING", u64::MAX));
-        assert_eq!(c.recv(), format!("T{} OK PONG", u64::MAX));
-        c.send("T3 QUIT");
-        assert_eq!(c.recv(), "T3 OK BYE");
-        h.shutdown();
-    }
-
-    #[test]
-    fn v2_duplicate_tags_are_echoed_verbatim() {
-        // Tag uniqueness is the client's responsibility (memcached-opaque
-        // semantics): the server answers each request under the tag it
-        // came with, duplicates included.
-        let h = serve(ServerConfig::default()).unwrap();
-        let mut c = RawV2::connect(h.addr());
-        c.send("T7 PING");
-        c.send("T7 PING");
-        assert_eq!(c.recv(), "T7 OK PONG");
-        assert_eq!(c.recv(), "T7 OK PONG");
-        h.shutdown();
-    }
-
-    #[test]
-    fn v2_parse_failures_still_carry_the_tag() {
-        let h = serve(ServerConfig::default()).unwrap();
-        let mut c = RawV2::connect(h.addr());
-        for (req, tag) in [
-            ("T9 MIS2", "T9"),                 // missing graph
-            ("T10 COARSEN ecology2 0", "T10"), // bad levels
-            ("T11 FROB x", "T11"),             // unknown command
-            ("T12", "T12"),                    // empty request under a tag
-        ] {
-            c.send(req);
-            let got = c.recv();
-            assert!(got.starts_with(&format!("{tag} ERR ")), "{req:?} -> {got}");
-        }
-        // The connection survives all of it.
-        c.send("T13 PING");
-        assert_eq!(c.recv(), "T13 OK PONG");
-        h.shutdown();
-    }
-
-    #[test]
-    fn v1_lines_on_a_v2_connection_get_tagged_unknown_error() {
-        let h = serve(ServerConfig::default()).unwrap();
-        let mut c = RawV2::connect(h.addr());
-        for bad in ["PING", "MIS2 ecology2", "Tx PING", "V2", "V3"] {
-            c.send(bad);
-            let got = c.recv();
-            assert!(
-                got.starts_with("T? ERR "),
-                "untagged/unparseable-tag line {bad:?} -> {got}"
-            );
-        }
-        c.send("T1 PING");
-        assert_eq!(c.recv(), "T1 OK PONG");
+        let mut c = Client::connect(h.addr()).unwrap();
+        let got = c.request("V2").unwrap();
+        assert!(got.starts_with("ERR unknown command: V2"), "{got}");
+        assert_eq!(c.request("PING").unwrap(), "OK PONG");
         h.shutdown();
     }
 
@@ -2091,21 +1854,6 @@ mod tests {
         assert_eq!(line.trim_end(), "ERR line too long");
         line.clear();
         assert_eq!(r.read_line(&mut line).unwrap(), 0, "server must close");
-        h.shutdown();
-    }
-
-    #[test]
-    fn overlong_line_on_v2_gets_a_tagged_unknown_error() {
-        // A truncated line's tag cannot be trusted, so the v2 framing
-        // contract answers under the reserved T? marker before closing.
-        let h = serve(ServerConfig::default()).unwrap();
-        let mut c = RawV2::connect(h.addr());
-        let blob = "a".repeat(proto::MAX_LINE + 1);
-        c.w.write_all(blob.as_bytes()).unwrap();
-        c.w.flush().unwrap();
-        assert_eq!(c.recv(), "T? ERR line too long");
-        let mut rest = String::new();
-        assert_eq!(c.r.read_line(&mut rest).unwrap(), 0, "server must close");
         h.shutdown();
     }
 
@@ -2178,20 +1926,33 @@ mod tests {
             ..Default::default()
         })
         .unwrap();
-        let mut c = RawV2::connect(h.addr());
+        let mut c = RawV3::connect(h.addr());
         // Cold compute: graph build + solve, orders of magnitude slower
         // than the reader's inline path.
-        c.send("T1 SOLVE StocF-1465 cg");
-        c.send("T2 PING");
-        c.send("T3 STATS");
-        assert_eq!(c.recv(), "T2 OK PONG", "PING must overtake the compute");
-        assert!(c.recv().starts_with("T3 OK STATS "));
-        assert!(c.recv().starts_with("T1 OK SOLVE StocF-1465 cg "));
+        c.send(1, b"SOLVE StocF-1465 cg");
+        c.send(2, b"PING");
+        c.send(3, b"STATS");
+        let f = c.recv();
+        assert_eq!(
+            (f.tag, f.payload.as_slice()),
+            (2, &b"PONG"[..]),
+            "PING must overtake the compute"
+        );
+        let f = c.recv();
+        assert_eq!(f.tag, 3);
+        assert!(f.payload.starts_with(b"STATS "), "{}", f.to_line());
+        let f = c.recv();
+        assert_eq!((f.tag, f.status), (1, codec::STATUS_OK));
+        assert!(
+            f.payload.starts_with(b"SOLVE StocF-1465 cg "),
+            "{}",
+            f.to_line()
+        );
         h.shutdown();
     }
 
     #[test]
-    fn v2_responses_arrive_in_completion_order() {
+    fn v3_responses_arrive_in_completion_order() {
         // Two scheduler workers, a slow compute tagged first and a fast
         // one tagged second: the fast response must arrive first, each
         // under its own tag.
@@ -2201,14 +1962,38 @@ mod tests {
             ..Default::default()
         })
         .unwrap();
-        let mut c = RawV2::connect(h.addr());
-        // Warm the fast graph so T2 is a pure cache hit.
-        c.send("T0 MIS2 ecology2");
-        assert!(c.recv().starts_with("T0 OK MIS2 "));
-        c.send("T1 SOLVE StocF-1465 gmres");
-        c.send("T2 MIS2 ecology2");
-        assert!(c.recv().starts_with("T2 OK MIS2 ecology2 "));
-        assert!(c.recv().starts_with("T1 OK SOLVE StocF-1465 gmres "));
+        let mut c = RawV3::connect(h.addr());
+        // Warm the fast graph so tag 2 is a pure cache hit.
+        c.send(0, b"MIS2 ecology2");
+        assert_eq!(c.recv().tag, 0);
+        c.send(1, b"SOLVE StocF-1465 gmres");
+        c.send(2, b"MIS2 ecology2");
+        let f = c.recv();
+        assert_eq!(f.tag, 2);
+        assert!(f.payload.starts_with(b"MIS2 ecology2 "), "{}", f.to_line());
+        let f = c.recv();
+        assert_eq!(f.tag, 1);
+        assert!(
+            f.payload.starts_with(b"SOLVE StocF-1465 gmres "),
+            "{}",
+            f.to_line()
+        );
+        h.shutdown();
+    }
+
+    #[test]
+    fn v3_duplicate_tags_are_echoed_verbatim() {
+        // Tag uniqueness is the client's responsibility (memcached-opaque
+        // semantics): the server answers each request under the tag it
+        // came with, duplicates included.
+        let h = serve(ServerConfig::default()).unwrap();
+        let mut c = RawV3::connect(h.addr());
+        c.send(7, b"PING");
+        c.send(7, b"PING");
+        for _ in 0..2 {
+            let f = c.recv();
+            assert_eq!((f.tag, f.payload.as_slice()), (7, &b"PONG"[..]));
+        }
         h.shutdown();
     }
 
@@ -2392,13 +2177,10 @@ mod tests {
     }
 
     #[test]
-    fn memo_repeats_keep_the_hot_key_resident_under_eviction_pressure() {
-        // Regression for the memo-hit LRU bug: the v3 hot-key memo used
-        // to answer byte-identical repeats without touching the registry,
-        // so the hot key's resp/artifact/graph stamps never refreshed and
-        // a tight budget evicted exactly the hottest entry. The memo now
-        // only skips the re-parse; every repeat still probes
-        // `try_response`, which refreshes all three stamps.
+    fn v3_hits_keep_the_hot_key_resident_under_eviction_pressure() {
+        // Every v3 cache hit probes `try_response`, which refreshes the
+        // hot key's resp/artifact/graph LRU stamps — so under a tight
+        // budget the hottest entry is never the eviction victim.
         //
         // Churn distinct COARSEN levels on the *same* graph so the graph
         // stays shared and eviction pressure lands on the artifact
@@ -2431,11 +2213,11 @@ mod tests {
             let f = c.recv();
             assert_eq!((f.tag, f.status), (tag, codec::STATUS_OK), "{req}");
         };
-        // Warm the hot key (miss), then once more to arm the memo (hit).
+        // Warm the hot key (miss), then hit it once.
         ask(&mut c, "MIS2 ecology2");
         ask(&mut c, "MIS2 ecology2");
-        // Interleave cold computes with byte-identical hot repeats (each
-        // must ride the memo AND refresh the hot entries' stamps).
+        // Interleave cold computes with hot repeats (each must hit AND
+        // refresh the hot entries' stamps).
         for level in 1..=3 {
             ask(&mut c, &format!("COARSEN ecology2 {level}"));
             ask(&mut c, "MIS2 ecology2");

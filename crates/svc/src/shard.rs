@@ -16,7 +16,7 @@
 //! ## The router
 //!
 //! [`route`] runs a protocol-transparent proxy: downstream it speaks
-//! v1/v2/v3 exactly like a single server (same hellos, same window
+//! v1 and v3 exactly like a single server (same hellos, same window
 //! advertisement, same error strings), upstream it keeps one pipelined v3
 //! connection per shard per downstream connection and remaps tags — a
 //! downstream request takes a window slot, is assigned a per-shard
@@ -59,8 +59,8 @@ use crate::ops;
 use crate::proto::{self, GraphRef, Request};
 use crate::registry;
 use crate::server::{
-    acquire_slot, send_frame, send_line, writer_loop, ConnSlot, ConnTable, ConnWindow, Outgoing,
-    SvcStats,
+    acquire_slot, send_payload, writer_loop, ConnSlot, ConnTable, ConnWindow, Framing, Outgoing,
+    Payload, SvcStats,
 };
 use mis2_prim::hash::{hash2, splitmix64};
 use std::collections::HashMap;
@@ -326,15 +326,6 @@ pub fn route(cfg: RouterConfig) -> io::Result<RouterHandle> {
     })
 }
 
-/// How a shard's response frame is rendered back to the downstream
-/// protocol: a bare v1 line, a tagged v2 line, or a v3 frame under the
-/// downstream tag.
-enum Reply {
-    V1,
-    V2(u64),
-    V3(u64),
-}
-
 /// The lock-guarded half of one upstream shard connection. Every
 /// transition of the pending map — insert on forward, remove on a
 /// response, drain on death — happens under this one lock, which is what
@@ -343,7 +334,7 @@ enum Reply {
 /// answering it.
 struct UpState {
     /// In-flight upstream tags and how to answer each downstream.
-    pending: HashMap<u64, Reply>,
+    pending: HashMap<u64, Framing>,
     /// Next upstream tag (monotonically unique across reconnects, so a
     /// stale socket's late response can never alias a fresh tag).
     next_tag: u64,
@@ -501,34 +492,18 @@ fn try_revive(
 }
 
 /// Render one upstream response (or synthesized error) downstream under
-/// an already-held window slot.
+/// an already-held window slot: a bare v1 line, or a v3 frame under the
+/// downstream tag.
 fn deliver(
-    reply: Reply,
+    framing: Framing,
     status: u8,
     payload: &[u8],
     tx: &SyncSender<Outgoing>,
     win: &ConnWindow,
     stats: &SvcStats,
 ) {
-    let line = || {
-        let prefix = if status == codec::STATUS_OK {
-            "OK "
-        } else {
-            "ERR "
-        };
-        format!("{prefix}{}", String::from_utf8_lossy(payload))
-    };
-    match reply {
-        Reply::V1 => send_line(line(), tx, win, stats),
-        Reply::V2(tag) => send_line(proto::tagged(tag, &line()), tx, win, stats),
-        Reply::V3(tag) => send_frame(
-            tag,
-            ops::Response::from_wire(status, payload),
-            tx,
-            win,
-            stats,
-        ),
-    }
+    let resp = ops::Response::from_wire(status, payload);
+    send_payload(framing.wrap(resp), tx, win, stats);
 }
 
 /// Forward one request line to `shard` under an already-held window
@@ -542,7 +517,7 @@ fn deliver(
 fn forward(
     shard: &Arc<UpShard>,
     line: &str,
-    reply: Reply,
+    framing: Framing,
     tx: &SyncSender<Outgoing>,
     win: &Arc<ConnWindow>,
     stats: &Arc<SvcStats>,
@@ -555,12 +530,12 @@ fn forward(
     }
     if st.writer.is_none() {
         drop(st);
-        deliver(reply, codec::STATUS_ERR, b"shard down", tx, win, stats);
+        deliver(framing, codec::STATUS_ERR, b"shard down", tx, win, stats);
         return;
     }
     let tag = st.next_tag;
     st.next_tag += 1;
-    st.pending.insert(tag, reply);
+    st.pending.insert(tag, framing);
     let wrote = codec::write_frame(
         st.writer.as_mut().expect("checked above"),
         tag,
@@ -574,7 +549,7 @@ fn forward(
         // seeing these tags — one answer, one slot release, per tag.
         st.writer = None;
         let mine = st.pending.remove(&tag);
-        let drained: Vec<Reply> = st.pending.drain().map(|(_, r)| r).collect();
+        let drained: Vec<Framing> = st.pending.drain().map(|(_, r)| r).collect();
         drop(st);
         for r in mine.into_iter().chain(drained) {
             deliver(r, codec::STATUS_ERR, b"shard down", tx, win, stats);
@@ -598,7 +573,7 @@ fn upstream_reader(
     let mut payload: Vec<u8> = Vec::new();
     let mut proven = false;
     while let Ok(Some((tag, status))) = codec::read_frame_into(&mut reader, &mut payload) {
-        let reply = {
+        let framing = {
             let mut st = shard.state.lock().unwrap();
             // First response frame: the shard is demonstrably alive, so
             // reset the redial cadence it would get on its next death.
@@ -612,11 +587,11 @@ fn upstream_reader(
         // An unknown tag means the forwarder already answered it (shard
         // died under the write, then revived enough to respond) — it
         // holds no slot, so drop it.
-        if let Some(reply) = reply {
-            deliver(reply, status, &payload, &tx, &win, &stats);
+        if let Some(framing) = framing {
+            deliver(framing, status, &payload, &tx, &win, &stats);
         }
     }
-    let drained: Vec<Reply> = {
+    let drained: Vec<Framing> = {
         let mut st = shard.state.lock().unwrap();
         // Poison only our own connection generation: if a redial already
         // installed a fresh socket, its tags are not ours to drain.
@@ -626,8 +601,8 @@ fn upstream_reader(
         st.writer = None;
         st.pending.drain().map(|(_, r)| r).collect()
     };
-    for reply in drained {
-        deliver(reply, codec::STATUS_ERR, b"shard down", &tx, &win, &stats);
+    for framing in drained {
+        deliver(framing, codec::STATUS_ERR, b"shard down", &tx, &win, &stats);
     }
 }
 
@@ -701,16 +676,16 @@ fn handle_router_connection(
         try_revive(&up, &tx, &win, stats);
         shards.push(up);
     }
-    let result = router_read_loop(
-        stream,
-        &shards,
+    let ds = Downstream {
+        shards: &shards,
         shard_addrs,
         ring,
         stats,
         max_inflight,
-        &win,
-        &tx,
-    );
+        win: &win,
+        tx: &tx,
+    };
+    let result = router_read_loop(stream, &ds);
     // Teardown: mark every shard closed (no further redials), hard-close
     // the upstream sockets so their readers unblock, join the readers of
     // every generation, and drop their tx clones; then our own sender
@@ -734,32 +709,62 @@ fn handle_router_connection(
     result
 }
 
-/// Downstream framing mode, as in the server's reader.
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    V1,
-    V2,
+/// One downstream connection's view of the router: the shard set and
+/// ring its compute requests route through, and the window and channel
+/// its responses travel back on.
+struct Downstream<'a> {
+    shards: &'a [Arc<UpShard>],
+    shard_addrs: &'a [String],
+    ring: &'a Ring,
+    stats: &'a Arc<SvcStats>,
+    max_inflight: usize,
+    win: &'a Arc<ConnWindow>,
+    tx: &'a SyncSender<Outgoing>,
 }
 
-/// The downstream reader: the same line discipline, hellos, window
-/// slots, and error strings as the server's [`read_loop`] — but compute
-/// requests are consistent-hashed to their owning shard and forwarded,
-/// `STATS` answers the merged cluster line, and `PING` answers locally.
-///
-/// [`read_loop`]: crate::server
-#[allow(clippy::too_many_arguments)]
-fn router_read_loop(
-    stream: TcpStream,
-    shards: &[Arc<UpShard>],
-    shard_addrs: &[String],
-    ring: &Ring,
-    stats: &Arc<SvcStats>,
-    max_inflight: usize,
-    win: &Arc<ConnWindow>,
-    tx: &SyncSender<Outgoing>,
-) -> io::Result<()> {
+impl Downstream<'_> {
+    /// Take a window slot under `cap` and answer `resp` inline.
+    fn answer(&self, framing: Framing, cap: usize, resp: ops::Response) {
+        acquire_slot(self.win, cap, self.stats);
+        send_payload(framing.wrap(resp), self.tx, self.win, self.stats);
+    }
+
+    /// Answer one parsed request under `framing`, with the same strings
+    /// as a single server: `PING` locally, `STATS`/`METRICS` merged over
+    /// the cluster, compute forwarded to its owning shard. Returns
+    /// `false` once `QUIT` has drained the window and said goodbye.
+    fn request(&self, parsed: Result<Request, String>, framing: Framing, cap: usize) -> bool {
+        match parsed {
+            Err(e) => self.answer(framing, cap, ops::Response::err(&e)),
+            Ok(Request::Ping) => self.answer(framing, cap, ops::Response::ok_text("PONG".into())),
+            Ok(Request::Stats) => {
+                let body = cluster_stats(self.shard_addrs);
+                self.answer(framing, cap, ops::Response::ok_text(body));
+            }
+            Ok(Request::Metrics) => {
+                let body = cluster_metrics(self.shard_addrs);
+                self.answer(framing, cap, ops::Response::ok_text(body));
+            }
+            Ok(Request::Quit) => {
+                self.win.wait_empty();
+                self.answer(framing, cap, ops::Response::ok_text("BYE".into()));
+                return false;
+            }
+            Ok(req) => {
+                acquire_slot(self.win, cap, self.stats);
+                route_request(&req, self, framing);
+            }
+        }
+        true
+    }
+}
+
+/// The downstream reader: the same line discipline, `V3` hello, window
+/// slots, and error strings as the server's connection machine — v1
+/// lines one at a time (window cap 1) until the hello, v3 frames after
+/// it.
+fn router_read_loop(stream: TcpStream, ds: &Downstream) -> io::Result<()> {
     let mut reader = BufReader::new(stream);
-    let mut mode = Mode::V1;
     let mut buf: Vec<u8> = Vec::new();
     loop {
         buf.clear();
@@ -769,192 +774,72 @@ fn router_read_loop(
         if n == 0 {
             return Ok(());
         }
-        let cap = match mode {
-            Mode::V1 => 1,
-            Mode::V2 => max_inflight,
-        };
-        let frame_unframeable = |e: String| match mode {
-            Mode::V1 => e,
-            Mode::V2 => proto::tagged_unknown(&e),
-        };
         if n > proto::MAX_LINE && buf.last() != Some(&b'\n') {
-            acquire_slot(win, cap, stats);
-            send_line(
-                frame_unframeable(proto::err("line too long")),
-                tx,
-                win,
-                stats,
-            );
+            ds.answer(Framing::Bare, 1, ops::Response::err("line too long"));
             return Ok(());
         }
         let Ok(line) = std::str::from_utf8(&buf) else {
-            acquire_slot(win, cap, stats);
-            send_line(
-                frame_unframeable(proto::err("invalid utf-8")),
-                tx,
-                win,
-                stats,
-            );
+            ds.answer(Framing::Bare, 1, ops::Response::err("invalid utf-8"));
             continue;
         };
         let trimmed = line.trim_end_matches(['\r', '\n']);
         if trimmed.is_empty() {
             continue;
         }
-        let (tag, parsed) = match mode {
-            Mode::V1 if trimmed == proto::HELLO_V2 => {
-                mode = Mode::V2;
-                acquire_slot(win, cap, stats);
-                send_line(proto::hello_ok(max_inflight), tx, win, stats);
-                continue;
-            }
-            Mode::V1 if trimmed == codec::HELLO_V3 => {
-                acquire_slot(win, cap, stats);
-                send_line(codec::hello_ok(max_inflight), tx, win, stats);
-                return router_v3_read_loop(
-                    &mut reader,
-                    shards,
-                    shard_addrs,
-                    ring,
-                    stats,
-                    max_inflight,
-                    win,
-                    tx,
-                );
-            }
-            Mode::V1 => (None, Request::parse(trimmed)),
-            Mode::V2 => match proto::split_tagged(trimmed) {
-                Err(e) => {
-                    acquire_slot(win, cap, stats);
-                    send_line(proto::tagged_unknown(&proto::err(&e)), tx, win, stats);
-                    continue;
-                }
-                Ok((tag, rest)) => (Some(tag), Request::parse(rest)),
-            },
-        };
-        let frame = move |response: String| match tag {
-            Some(t) => proto::tagged(t, &response),
-            None => response,
-        };
-        match parsed {
-            Err(e) => {
-                acquire_slot(win, cap, stats);
-                send_line(frame(proto::err(&e)), tx, win, stats);
-            }
-            Ok(Request::Ping) => {
-                acquire_slot(win, cap, stats);
-                send_line(frame(proto::ok("PONG")), tx, win, stats);
-            }
-            Ok(Request::Stats) => {
-                acquire_slot(win, cap, stats);
-                let body = cluster_stats(shard_addrs);
-                send_line(frame(proto::ok(&body)), tx, win, stats);
-            }
-            Ok(Request::Metrics) => {
-                acquire_slot(win, cap, stats);
-                let body = cluster_metrics(shard_addrs);
-                send_line(frame(proto::ok(&body)), tx, win, stats);
-            }
-            Ok(Request::Quit) => {
-                win.wait_empty();
-                acquire_slot(win, cap, stats);
-                send_line(frame(proto::ok("BYE")), tx, win, stats);
-                return Ok(());
-            }
-            Ok(req) => {
-                acquire_slot(win, cap, stats);
-                let reply = match tag {
-                    Some(t) => Reply::V2(t),
-                    None => Reply::V1,
-                };
-                route_request(&req, shards, ring, reply, tx, win, stats);
-            }
+        if trimmed == codec::HELLO_V3 {
+            acquire_slot(ds.win, 1, ds.stats);
+            let hello = Payload::Line(codec::hello_ok(ds.max_inflight));
+            send_payload(hello, ds.tx, ds.win, ds.stats);
+            return router_v3_read_loop(&mut reader, ds);
+        }
+        if !ds.request(Request::parse(trimmed), Framing::Bare, 1) {
+            return Ok(());
         }
     }
 }
 
-/// The downstream v3 reader: the server's `v3_read_loop` shape with
-/// forwarding in place of compute.
-#[allow(clippy::too_many_arguments)]
-fn router_v3_read_loop(
-    reader: &mut BufReader<TcpStream>,
-    shards: &[Arc<UpShard>],
-    shard_addrs: &[String],
-    ring: &Ring,
-    stats: &Arc<SvcStats>,
-    max_inflight: usize,
-    win: &Arc<ConnWindow>,
-    tx: &SyncSender<Outgoing>,
-) -> io::Result<()> {
+/// The downstream v3 reader: binary frames, each answered under its own
+/// tag with the full window open.
+fn router_v3_read_loop(reader: &mut BufReader<TcpStream>, ds: &Downstream) -> io::Result<()> {
+    let cap = ds.max_inflight;
     let mut payload: Vec<u8> = Vec::new();
     loop {
         let Some(hdr) = codec::read_header(reader)? else {
             return Ok(());
         };
         let (tag, len, _status) = codec::decode_header(&hdr);
+        let framing = Framing::V3(tag);
         let len = len as usize;
         if len > codec::MAX_PAYLOAD {
-            acquire_slot(win, max_inflight, stats);
-            send_frame(tag, ops::Response::err("frame too long"), tx, win, stats);
+            ds.answer(framing, cap, ops::Response::err("frame too long"));
             return Ok(());
         }
         payload.resize(len, 0);
         reader.read_exact(&mut payload)?;
         let Ok(text) = std::str::from_utf8(&payload) else {
-            acquire_slot(win, max_inflight, stats);
-            send_frame(tag, ops::Response::err("invalid utf-8"), tx, win, stats);
+            ds.answer(framing, cap, ops::Response::err("invalid utf-8"));
             continue;
         };
-        match Request::parse(text.trim_end_matches(['\r', '\n'])) {
-            Err(e) => {
-                acquire_slot(win, max_inflight, stats);
-                send_frame(tag, ops::Response::err(&e), tx, win, stats);
-            }
-            Ok(Request::Ping) => {
-                acquire_slot(win, max_inflight, stats);
-                send_frame(tag, ops::Response::ok_text("PONG".into()), tx, win, stats);
-            }
-            Ok(Request::Stats) => {
-                acquire_slot(win, max_inflight, stats);
-                let body = cluster_stats(shard_addrs);
-                send_frame(tag, ops::Response::ok_text(body), tx, win, stats);
-            }
-            Ok(Request::Metrics) => {
-                acquire_slot(win, max_inflight, stats);
-                let body = cluster_metrics(shard_addrs);
-                send_frame(tag, ops::Response::ok_text(body), tx, win, stats);
-            }
-            Ok(Request::Quit) => {
-                win.wait_empty();
-                acquire_slot(win, max_inflight, stats);
-                send_frame(tag, ops::Response::ok_text("BYE".into()), tx, win, stats);
-                return Ok(());
-            }
-            Ok(req) => {
-                acquire_slot(win, max_inflight, stats);
-                route_request(&req, shards, ring, Reply::V3(tag), tx, win, stats);
-            }
+        if !ds.request(
+            Request::parse(text.trim_end_matches(['\r', '\n'])),
+            framing,
+            cap,
+        ) {
+            return Ok(());
         }
     }
 }
 
 /// Consistent-hash one parsed compute request to its owning shard and
 /// forward it (under an already-held window slot).
-fn route_request(
-    req: &Request,
-    shards: &[Arc<UpShard>],
-    ring: &Ring,
-    reply: Reply,
-    tx: &SyncSender<Outgoing>,
-    win: &Arc<ConnWindow>,
-    stats: &Arc<SvcStats>,
-) {
+fn route_request(req: &Request, ds: &Downstream, framing: Framing) {
+    let (tx, win, stats) = (ds.tx, ds.win, ds.stats);
     let Some((graph, _)) = ops::request_op(req) else {
         // PING/STATS/QUIT are handled before routing; nothing else
         // parses, so this is unreachable in practice — answer anyway
         // rather than poison anything.
         deliver(
-            reply,
+            framing,
             codec::STATUS_ERR,
             b"not a compute request",
             tx,
@@ -963,8 +848,8 @@ fn route_request(
         );
         return;
     };
-    let idx = ring.shard_of(&shard_key(graph));
-    forward(&shards[idx], &req.to_line(), reply, tx, win, stats);
+    let idx = ds.ring.shard_of(&shard_key(graph));
+    forward(&ds.shards[idx], &req.to_line(), framing, tx, win, stats);
 }
 
 #[cfg(test)]

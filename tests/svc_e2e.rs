@@ -114,6 +114,28 @@ fn server_rejects_bad_requests_without_dying() {
 }
 
 #[test]
+fn hostile_mtx_header_gets_err_and_the_server_keeps_serving() {
+    // A three-line file whose size line declares 10^11 entries: an
+    // allocation sized from that header would abort the whole process,
+    // so the header may only earn this one request an ERR.
+    let dir = std::env::temp_dir().join(format!("mis2_svc_evil_mtx_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let evil = dir.join("evil.mtx");
+    std::fs::write(
+        &evil,
+        "%%MatrixMarket matrix coordinate pattern symmetric\n2 2 100000000000\n2 1\n",
+    )
+    .unwrap();
+    let handle = mis2::svc::serve(ServerConfig::default()).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let got = client.request(&format!("MIS2 {}", evil.display())).unwrap();
+    assert!(got.starts_with("ERR "), "{got}");
+    assert_eq!(client.request("PING").unwrap(), "OK PONG");
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn stats_reports_cache_and_scheduler_counters() {
     let handle = mis2::svc::serve(ServerConfig {
         threads: 2,

@@ -1,6 +1,7 @@
-//! End-to-end test of the pipelined v2 wire protocol: concurrent
-//! `PipelinedClient`s keep deep windows of tagged requests in flight, the
-//! server completes them out of order, and every payload must still be
+//! End-to-end test of request pipelining and its window accounting:
+//! concurrent `V3Client`s keep windows of 1 to 64 tagged requests in
+//! flight, the server completes them out of order, the in-flight gauges
+//! settle, and every payload must still be
 //! **bitwise-identical** to a direct library call — under both backends
 //! (CI runs this file with and without the `parallel` feature) and at
 //! pool budgets {1, 8}.
@@ -12,12 +13,7 @@
 //! -per-tag is enforced structurally by `request_many`: a missing tag
 //! would hang it, an unknown or duplicate tag is an `InvalidData` error.
 
-use mis2::svc::{
-    client::{Client, PipelinedClient},
-    ops,
-    proto::Request,
-    Registry, ServerConfig,
-};
+use mis2::svc::{client::V3Client, ops, proto::Request, Registry, ServerConfig};
 use mis2_graph::Scale;
 
 /// Six differently-shaped suite graphs (same set as the eviction-churn
@@ -83,7 +79,7 @@ fn eight_pipelined_clients_are_bitwise_identical_to_direct_calls() {
                     // every depth from degenerate to full-cap is exercised
                     // concurrently.
                     let window = 1usize << (c.min(6));
-                    let mut client = PipelinedClient::connect(addr, window)
+                    let mut client = V3Client::connect(addr, window)
                         .unwrap_or_else(|e| panic!("client {c} cannot connect: {e}"));
                     assert_eq!(client.window(), window);
                     let got = client
@@ -135,48 +131,6 @@ fn eight_pipelined_clients_are_bitwise_identical_to_direct_calls() {
 }
 
 #[test]
-fn mixed_v1_and_v2_connections_stay_correct_on_one_server() {
-    let lines = request_lines();
-    let want = direct_responses(&lines);
-    let handle = mis2::svc::serve(ServerConfig {
-        threads: 2,
-        scale: Scale::Tiny,
-        ..Default::default()
-    })
-    .unwrap();
-    let addr = handle.addr();
-    std::thread::scope(|s| {
-        // Four v2 clients pipelining the full mix...
-        for c in 0..4 {
-            let (lines, want) = (&lines, &want);
-            s.spawn(move || {
-                let mut client = PipelinedClient::connect(addr, 32).unwrap();
-                let got = client.request_many(lines).unwrap();
-                for (g, w) in got.iter().zip(want) {
-                    assert_eq!(g, w, "v2 client {c}");
-                }
-                client.quit().unwrap();
-            });
-        }
-        // ...interleaved with four classic blocking v1 clients on the
-        // same server, which must keep the strict one-in-flight in-order
-        // contract.
-        for c in 0..4 {
-            let (lines, want) = (&lines, &want);
-            s.spawn(move || {
-                let mut client = Client::connect(addr).unwrap();
-                for (line, expect) in lines.iter().zip(want) {
-                    let got = client.request(line).unwrap();
-                    assert_eq!(&got, expect, "v1 client {c} for {line:?}");
-                }
-                client.quit().unwrap();
-            });
-        }
-    });
-    handle.shutdown();
-}
-
-#[test]
 fn stats_exposes_window_counters_over_the_wire() {
     let handle = mis2::svc::serve(ServerConfig {
         threads: 2,
@@ -185,7 +139,7 @@ fn stats_exposes_window_counters_over_the_wire() {
         ..Default::default()
     })
     .unwrap();
-    let mut client = PipelinedClient::connect(handle.addr(), 32).unwrap();
+    let mut client = V3Client::connect(handle.addr(), 32).unwrap();
     // Pipeline a window of compute requests, then read STATS afterwards:
     // the peak gauge must reflect the depth the reader actually accepted.
     let lines: Vec<String> = (0..32)

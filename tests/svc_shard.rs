@@ -22,7 +22,7 @@ use mis2::svc::{
 use mis2_graph::Scale;
 use std::sync::atomic::Ordering;
 
-/// Six differently-shaped suite graphs (same set as the v2/v3 e2e tests).
+/// Six differently-shaped suite graphs (same set as the v3 e2e test).
 fn graphs() -> [&'static str; 6] {
     [
         "ecology2",
