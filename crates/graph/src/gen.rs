@@ -296,30 +296,69 @@ pub fn random_regular_ish(n: usize, d: usize, seed: u64) -> CsrGraph {
 /// RMAT power-law generator (Graph500-style): `2^scale` vertices,
 /// `edge_factor * 2^scale` edge samples with partition probabilities
 /// `(a, b, c, 1-a-b-c)`.
+///
+/// Each sample descends `scale` levels. At level `lvl` of sample `e` it
+/// draws a 53-bit integer `x = splitmix64(seed ^ splitmix64(e * 64 + lvl))
+/// >> 11`, i.e. the uniform `r = x / 2^53`, and picks quadrant (0,0),
+/// (0,1), (1,0) or (1,1) by the first of `r < a`, `r < a + b`,
+/// `r < a + b + c` that holds (none: (1,1)).
+///
+/// The comparisons run on integers and are exact. `x < 2^53` converts to
+/// `f64` exactly and dividing by `2^53` is exact, so `r < t` holds exactly
+/// when `x < t * 2^53`, and, `x` being an integer, exactly when
+/// `x < ceil(t * 2^53)`. The three thresholds are precomputed that way
+/// ([`rmat_thresholds`]), the quadrant index `q` is the count of them `x`
+/// reaches, and its bits `(q >> 1, q & 1)` are the quadrant, branch-free.
+/// The graph is bitwise-identical to comparing the floats.
+///
+/// `scale` is at most 32: vertex ids are 32-bit [`VertexId`]s, and the
+/// per-level stream key `e * 64 + lvl` needs `lvl < 64`.
 pub fn rmat(scale: u32, edge_factor: usize, a: f64, b: f64, c: f64, seed: u64) -> CsrGraph {
+    assert!(scale <= 32, "rmat: scale {scale} > 32 overflows VertexId");
     let n = 1usize << scale;
     let m = edge_factor * n;
+    let th = rmat_thresholds(a, b, c);
     let edges: Vec<(VertexId, VertexId)> = par::map_range(0..m as u64, |e| {
-        let mut u = 0usize;
-        let mut v = 0usize;
+        let mut u: VertexId = 0;
+        let mut v: VertexId = 0;
         for lvl in 0..scale {
-            let h = splitmix64(seed ^ splitmix64(e * 64 + lvl as u64));
-            let r = (h >> 11) as f64 / (1u64 << 53) as f64;
-            let (du, dv) = if r < a {
-                (0, 0)
-            } else if r < a + b {
-                (0, 1)
-            } else if r < a + b + c {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
-            u = (u << 1) | du;
-            v = (v << 1) | dv;
+            let x = splitmix64(seed ^ splitmix64(e * 64 + lvl as u64)) >> 11;
+            let q = rmat_quadrant(x, th);
+            u = (u << 1) | (q >> 1);
+            v = (v << 1) | (q & 1);
         }
-        (u as VertexId, v as VertexId)
+        (u, v)
     });
     CsrGraph::from_edges(n, &edges)
+}
+
+/// `2^53`: the number of distinct 53-bit draws of [`rmat`].
+const UNIT: u64 = 1 << 53;
+
+/// [`rmat`]'s thresholds `[T1, T2, T3]` for `a`, `a + b`, `a + b + c`,
+/// made non-decreasing by a running maximum: then `x` reaches `T_i`
+/// exactly when the first `i` comparisons all fail, so the count
+/// [`rmat_quadrant`] takes is the index of the first one that holds, even
+/// for a negative `b` or `c`.
+fn rmat_thresholds(a: f64, b: f64, c: f64) -> [u64; 3] {
+    let t1 = unit_threshold(a);
+    let t2 = unit_threshold(a + b).max(t1);
+    let t3 = unit_threshold(a + b + c).max(t2);
+    [t1, t2, t3]
+}
+
+/// Quadrant index 0..=3 of the 53-bit draw `x`: how many thresholds it
+/// reaches.
+#[inline]
+fn rmat_quadrant(x: u64, [t1, t2, t3]: [u64; 3]) -> VertexId {
+    (x >= t1) as VertexId + (x >= t2) as VertexId + (x >= t3) as VertexId
+}
+
+/// `ceil(t * 2^53)` clamped to `[0, 2^53]`: for every `x < 2^53`,
+/// `x < unit_threshold(t)` exactly when `(x as f64) / 2^53 < t`. A NaN `t`
+/// maps to 0, which no `x` is below, as no float is below NaN.
+fn unit_threshold(t: f64) -> u64 {
+    (t * UNIT as f64).ceil().clamp(0.0, UNIT as f64) as u64
 }
 
 /// Mesh-like graph: a 3D box with the `base_deg` nearest-offset stencil,
@@ -494,6 +533,14 @@ mod tests {
         g.validate_symmetric().unwrap();
     }
 
+    /// Order-sensitive fingerprint of a graph's CSR structure.
+    fn csr_fingerprint(g: &CsrGraph) -> u64 {
+        let row_ptr = g.row_ptr().iter().map(|&p| p as u32);
+        row_ptr
+            .chain(g.col_idx().iter().copied())
+            .fold(0xCBF2_9CE4_8422_2325u64, |h, x| splitmix64(h ^ x as u64))
+    }
+
     #[test]
     fn rmat_shape() {
         let g = rmat(10, 8, 0.57, 0.19, 0.19, 3);
@@ -502,6 +549,74 @@ mod tests {
         g.validate_symmetric().unwrap();
         // Power-law: max degree much larger than average.
         assert!(g.max_degree() as f64 > 3.0 * g.avg_degree());
+        // The exact structure, as the float-compare sampler produced it.
+        assert_eq!(csr_fingerprint(&g), 0x6076_06e2_1744_d367);
+    }
+
+    /// The probabilities the workload suite passes to [`rmat`].
+    const SUITE_PARAMS: [(f64, f64, f64); 2] = [(0.57, 0.19, 0.19), (0.65, 0.15, 0.15)];
+
+    #[test]
+    fn unit_threshold_agrees_with_float_compare() {
+        // The suite's thresholds are all >= 0.5, where `t * 2^53` is an
+        // integer and the ceil is moot; below 0.5 it usually is not, so
+        // the list also holds small and full-precision probabilities.
+        let mut ts = vec![0.0, 1.0, 0.5, 0.1, 1e-20];
+        for (a, b, c) in SUITE_PARAMS {
+            ts.extend([a, a + b, a + b + c, b, c]);
+        }
+        for i in 0..8u64 {
+            let u = (splitmix64(i) >> 11) as f64 / UNIT as f64;
+            ts.extend([u, u * 0.3]);
+        }
+        for t in ts {
+            let th = unit_threshold(t);
+            assert!(th <= UNIT, "t = {t}: threshold {th} above 2^53");
+            for x in [0, th.wrapping_sub(1), th, th + 1, UNIT - 1] {
+                let x = x.min(UNIT - 1);
+                assert_eq!(
+                    x < th,
+                    (x as f64) / (UNIT as f64) < t,
+                    "t = {t}, threshold {th}, x = {x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rmat_quadrant_matches_float_chain_for_any_params() {
+        // Non-monotone cumulative thresholds (negative b or c) and
+        // out-of-range ones included.
+        let params = [
+            (0.57, 0.19, 0.19),
+            (0.65, 0.15, 0.15),
+            (0.5, -0.2, 0.4),
+            (0.3, 0.4, -0.5),
+            (-0.1, 0.6, 0.2),
+            (0.9, 0.3, 0.0),
+            (f64::NAN, 0.2, 0.2),
+        ];
+        for (a, b, c) in params {
+            let th = rmat_thresholds(a, b, c);
+            for i in 0..4096u64 {
+                let x = splitmix64(i) >> 11;
+                let r = x as f64 / UNIT as f64;
+                let chain = if r < a {
+                    0
+                } else if r < a + b {
+                    1
+                } else if r < a + b + c {
+                    2
+                } else {
+                    3
+                };
+                assert_eq!(
+                    rmat_quadrant(x, th),
+                    chain,
+                    "params ({a}, {b}, {c}), x = {x}"
+                );
+            }
+        }
     }
 
     #[test]

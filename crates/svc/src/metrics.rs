@@ -38,7 +38,7 @@
 //! away for anyone exporting for real.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -239,10 +239,18 @@ pub enum Outcome {
     Computed = 1,
     /// Answered with an ERR response.
     Error = 2,
+    /// Went through the scheduler and was served from the registry cache
+    /// (a cached artifact or its rendered bytes) without computing.
+    ArtifactHit = 3,
 }
 
-pub const NOUTCOMES: usize = 3;
-pub const OUTCOMES: [Outcome; NOUTCOMES] = [Outcome::RespHit, Outcome::Computed, Outcome::Error];
+pub const NOUTCOMES: usize = 4;
+pub const OUTCOMES: [Outcome; NOUTCOMES] = [
+    Outcome::RespHit,
+    Outcome::Computed,
+    Outcome::Error,
+    Outcome::ArtifactHit,
+];
 
 impl Outcome {
     pub fn label(self) -> &'static str {
@@ -250,6 +258,7 @@ impl Outcome {
             Outcome::RespHit => "resp_hit",
             Outcome::Computed => "computed",
             Outcome::Error => "error",
+            Outcome::ArtifactHit => "artifact_hit",
         }
     }
 
@@ -348,7 +357,6 @@ impl KeyBuf {
     }
 }
 
-/// Stage stamps for a scheduler-path request, shared between the job
 /// Elapsed nanoseconds between two instants, in u64 arithmetic — the
 /// per-span retire loop runs this at request rate, and `as_nanos`'s
 /// u128 multiply is measurable there. Saturates to 0 on inversion.
@@ -360,6 +368,7 @@ fn elapsed_ns(from: Instant, to: Instant) -> u64 {
         .wrapping_add(u64::from(d.subsec_nanos()))
 }
 
+/// Stage stamps for a scheduler-path request, shared between the job
 /// closure (stamps start/end on a worker thread) and the span riding to
 /// the writer. Offsets are ns since `started`.
 #[derive(Debug)]
@@ -368,6 +377,10 @@ pub struct JobStamps {
     enqueued_ns: AtomicU64,
     start_ns: AtomicU64,
     end_ns: AtomicU64,
+    /// The job was served from the registry cache (see
+    /// [`Outcome::ArtifactHit`]). Relaxed suffices: the job sets it and
+    /// its completion reads it, both on one scheduler worker-leader.
+    hit: AtomicBool,
 }
 
 impl JobStamps {
@@ -386,12 +399,17 @@ impl JobStamps {
     pub fn stamp_end(&self) {
         self.end_ns.store(self.now_ns(), Ordering::Relaxed);
     }
+
+    /// Record whether the job was served from the registry cache.
+    pub fn set_hit(&self, hit: bool) {
+        self.hit.store(hit, Ordering::Relaxed);
+    }
+
+    pub fn hit(&self) -> bool {
+        self.hit.load(Ordering::Relaxed)
+    }
 }
 
-/// Per-request stage record, created by the reader thread right after
-/// parse and recorded by the writer thread after the response bytes hit
-/// the socket. The reader only stamps clocks; all bucket arithmetic
-/// happens in [`Metrics::record`] on the writer thread.
 /// Saturating elapsed-ns stamp for the sub-second stage fields —
 /// `u32` keeps [`Span`] inside a single cache line, and a parse or
 /// probe that somehow takes 4+ seconds pins to `u32::MAX`.
@@ -405,6 +423,10 @@ fn stage_stamp(from: Instant) -> u32 {
     }
 }
 
+/// Per-request stage record, created by the reader thread right after
+/// parse and recorded by the writer thread after the response bytes hit
+/// the socket. The reader only stamps clocks; all bucket arithmetic
+/// happens in [`Metrics::record`] on the writer thread.
 #[derive(Debug)]
 pub struct Span {
     pub op: Op,
@@ -455,9 +477,11 @@ impl Span {
         })
     }
 
-    /// Record the inline cache-probe duration (`probe_started` →  now).
-    pub fn stamp_probe(&mut self, probe_started: Instant) {
-        self.probe_ns = stage_stamp(probe_started);
+    /// Record the inline cache-probe duration: parse end (the instant
+    /// [`Span::start`] stamped, `started + parse_ns`) → now. One clock
+    /// read; the probe needs no start stamp of its own.
+    pub fn stamp_probe(&mut self) {
+        self.probe_ns = stage_stamp(self.started).saturating_sub(self.parse_ns);
         self.probed = true;
     }
 
@@ -469,6 +493,7 @@ impl Span {
             enqueued_ns: AtomicU64::new(0),
             start_ns: AtomicU64::new(0),
             end_ns: AtomicU64::new(0),
+            hit: AtomicBool::new(false),
         });
         self.job = Some(Arc::clone(&stamps));
         stamps
@@ -1319,7 +1344,7 @@ mod tests {
         // inline answer has no stages worth a clock read. Its probe
         // stamp still reaches the slow ring.
         let mut span = Span::start(Some(Instant::now()), Op::Mis2, "af_shell7").unwrap();
-        span.stamp_probe(Instant::now());
+        span.stamp_probe();
         span.outcome = Outcome::RespHit;
         m.record(&span, Instant::now());
         assert_eq!(m.stage_snapshot(Stage::Queue).count(), 1);

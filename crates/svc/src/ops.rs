@@ -295,21 +295,22 @@ pub fn request_op(req: &Request) -> Option<(&GraphRef, OpKey)> {
 /// returns the registry's interned response bytes ([`Response::interned`])
 /// so every protocol — and every later cache hit — serves the same shared
 /// serialization. `STATS`/`PING`/`QUIT` are connection-level and handled
-/// by the server, not here.
-pub fn execute_response(reg: &Registry, req: &Request) -> Response {
+/// by the server, not here. The flag is [`Registry::response`]'s: `true`
+/// when the registry served the request from its cache.
+pub fn execute_response(reg: &Registry, req: &Request) -> (Response, bool) {
     let Some((graph, op)) = request_op(req) else {
-        return Response::err("not a compute request");
+        return (Response::err("not a compute request"), false);
     };
     match reg.response(graph, &op) {
-        Ok(bytes) => Response::interned(bytes),
-        Err(e) => Response::err(&e),
+        Ok((bytes, hit)) => (Response::interned(bytes), hit),
+        Err(e) => (Response::err(&e), false),
     }
 }
 
 /// Text-line adapter over [`execute_response`]: the full v1 response line.
 /// The direct-call side of every e2e diff goes through here.
 pub fn execute(reg: &Registry, req: &Request) -> String {
-    execute_response(reg, req).to_line()
+    execute_response(reg, req).0.to_line()
 }
 
 #[cfg(test)]
@@ -394,14 +395,16 @@ mod tests {
     fn interned_responses_share_the_registry_bytes() {
         let reg = Registry::new(Scale::Tiny);
         let req = Request::parse("MIS2 ecology2").unwrap();
-        let resp = execute_response(&reg, &req);
+        let (resp, hit) = execute_response(&reg, &req);
         assert!(resp.is_ok());
+        assert!(!hit, "a cold registry computes");
         let Body::Interned(bytes) = &resp.body else {
             panic!("compute success must carry interned bytes");
         };
         let again = reg
             .response(&GraphRef::Suite("ecology2".into()), &OpKey::Mis2)
-            .unwrap();
+            .unwrap()
+            .0;
         assert!(
             Arc::ptr_eq(bytes, &again),
             "the response and the registry must share one interned Arc"

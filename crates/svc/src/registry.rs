@@ -371,13 +371,15 @@ impl Registry {
     /// next waiter takes over the compute).
     pub fn artifact(&self, gref: &GraphRef, op: &OpKey) -> Result<Arc<Artifact>, String> {
         let key = (self.canon_key(gref), op.clone());
-        self.artifact_keyed(key)
+        self.artifact_keyed(key).map(|(artifact, _)| artifact)
     }
 
     /// [`Registry::artifact`] on an already-canonical key — same contract
     /// as [`Registry::graph_canonical`]: canonicalization happens exactly
-    /// once per request, at the public entry points.
-    fn artifact_keyed(&self, key: ArtifactKey) -> Result<Arc<Artifact>, String> {
+    /// once per request, at the public entry points. The flag is `true`
+    /// when the artifact came from the cache (the request counted in
+    /// `hits`), `false` when this call computed it.
+    fn artifact_keyed(&self, key: ArtifactKey) -> Result<(Arc<Artifact>, bool), String> {
         let op = key.1.clone();
         {
             let mut st = self.state.lock().unwrap();
@@ -394,7 +396,7 @@ impl Registry {
                         g.last_used = tick;
                     }
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(value);
+                    return Ok((value, true));
                 }
                 if st.artifacts_inflight.insert(key.clone()) {
                     break; // our flight: compute below
@@ -424,7 +426,7 @@ impl Registry {
             },
         );
         self.enforce_budget(&mut st);
-        Ok(value)
+        Ok((value, false))
     }
 
     /// Probe the interned response bytes for `(graph, op)`: `Some` iff the
@@ -467,13 +469,15 @@ impl Registry {
     /// the usual counters), renders the body once, and interns it —
     /// byte-costed against the memory budget like any entry. Every request
     /// bumps exactly one of `hits`/`misses`, whichever cache level served
-    /// it, so the `hits + misses == requests` invariant is unchanged.
-    pub fn response(&self, gref: &GraphRef, op: &OpKey) -> Result<Arc<RespBytes>, String> {
+    /// it, so the `hits + misses == requests` invariant is unchanged. The
+    /// flag says which: `true` for a hit (bytes or artifact), `false` when
+    /// this call computed the artifact.
+    pub fn response(&self, gref: &GraphRef, op: &OpKey) -> Result<(Arc<RespBytes>, bool), String> {
         let key = (self.canon_key(gref), op.clone());
         if let Some(r) = self.try_response_keyed(&key, gref.token()) {
-            return Ok(r);
+            return Ok((r, true));
         }
-        let artifact = self.artifact_keyed(key.clone())?;
+        let (artifact, hit) = self.artifact_keyed(key.clone())?;
         let body = ops::body(gref.token(), op, &artifact);
         let value = Arc::new(RespBytes {
             token: gref.token().to_string(),
@@ -498,7 +502,7 @@ impl Registry {
         st.bytes += bytes;
         st.resp_bytes += bytes;
         self.enforce_budget(&mut st);
-        Ok(value)
+        Ok((value, hit))
     }
 
     /// Evict until `bytes <= budget` or nothing evictable remains.
@@ -943,10 +947,12 @@ mod tests {
     fn response_bytes_intern_and_hit() {
         let reg = Registry::new(Scale::Tiny);
         let r = GraphRef::Suite("ecology2".into());
-        let a = reg.response(&r, &OpKey::Mis2).unwrap();
+        let (a, hit) = reg.response(&r, &OpKey::Mis2).unwrap();
+        assert!(!hit, "the first request computes");
         assert_eq!(a.token, "ecology2");
         assert!(a.body.starts_with(b"MIS2 ecology2 size="));
-        let b = reg.response(&r, &OpKey::Mis2).unwrap();
+        let (b, hit) = reg.response(&r, &OpKey::Mis2).unwrap();
+        assert!(hit, "the repeat is a hit");
         assert!(Arc::ptr_eq(&a, &b), "hit must share the interned Arc");
         let via_probe = reg.try_response(&r, &OpKey::Mis2).unwrap();
         assert!(Arc::ptr_eq(&a, &via_probe));
@@ -976,11 +982,13 @@ mod tests {
         let reg = Registry::new(Scale::Tiny);
         let a = reg
             .response(&GraphRef::Mtx(plain.clone()), &OpKey::Mis2)
-            .unwrap();
+            .unwrap()
+            .0;
         assert_eq!(a.token, plain);
         let b = reg
             .response(&GraphRef::Mtx(dotted.clone()), &OpKey::Mis2)
-            .unwrap();
+            .unwrap()
+            .0;
         assert_eq!(b.token, dotted, "body must echo the request's spelling");
         let s = reg.stats();
         assert_eq!((s.resp, s.artifacts, s.graphs), (1, 1, 1));
@@ -1087,7 +1095,7 @@ mod tests {
         // alive; the cache just stops serving them).
         let reg = Registry::with_budget(Scale::Tiny, 1);
         let r = GraphRef::Suite("ecology2".into());
-        let held = reg.response(&r, &OpKey::Mis2).unwrap(); // pins the entry
+        let (held, _) = reg.response(&r, &OpKey::Mis2).unwrap(); // pins the entry
         let s = reg.stats(); // re-enforces: the unpinned artifact evicts
         assert_eq!(s.artifacts, 0, "{s:?}");
         assert_eq!(

@@ -1313,10 +1313,9 @@ impl ConnMachine {
         // straight to the writer. The registry counts this as a hit (and
         // a resp_hit) so cache accounting stays exact.
         if let Some((graph, opkey)) = ops::request_op(&req) {
-            let probe_start = span.as_ref().map(|_| Instant::now());
             let hit = cx.registry.try_response(graph, &opkey);
-            if let (Some(s), Some(p)) = (span.as_mut(), probe_start) {
-                s.stamp_probe(p);
+            if let Some(s) = span.as_mut() {
+                s.stamp_probe();
             }
             if let Some(bytes) = hit {
                 if let Some(s) = span.as_mut() {
@@ -1430,19 +1429,21 @@ impl ConnMachine {
                 if let Some(s) = &stamps {
                     s.stamp_start();
                 }
-                let resp = ops::execute_response(&registry, &req);
+                let (resp, hit) = ops::execute_response(&registry, &req);
                 if let Some(s) = &stamps {
                     s.stamp_end();
+                    s.set_hit(hit);
                 }
                 resp
             }),
             Box::new(move |resp| {
                 let mut span = span;
                 if let Some(s) = span.as_mut() {
-                    s.outcome = if resp.is_ok() {
-                        metrics::Outcome::Computed
-                    } else {
-                        metrics::Outcome::Error
+                    let hit = s.job.as_ref().is_some_and(|j| j.hit());
+                    s.outcome = match (resp.is_ok(), hit) {
+                        (false, _) => metrics::Outcome::Error,
+                        (true, true) => metrics::Outcome::ArtifactHit,
+                        (true, false) => metrics::Outcome::Computed,
                     };
                 }
                 sink.deliver(Outgoing {

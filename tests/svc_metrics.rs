@@ -257,3 +257,33 @@ fn merged_cluster_exposition_is_self_consistent() {
         h.shutdown();
     }
 }
+
+#[test]
+fn v1_repeat_is_labelled_artifact_hit() {
+    let handle = mis2::svc::serve(ServerConfig {
+        threads: 2,
+        scale: Scale::Tiny,
+        ..Default::default()
+    })
+    .unwrap();
+    // v1 has no inline probe: both requests go through the scheduler,
+    // and the repeat is served from the registry cache.
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let first = c.request("MIS2 ecology2").unwrap();
+    let second = c.request("MIS2 ecology2").unwrap();
+    assert!(first.starts_with("OK "), "{first}");
+    assert_eq!(first, second);
+    let _ = c.quit();
+    let exp = scrape(handle.addr(), 2);
+
+    assert_eq!(latency_count(&exp, "mis2", "computed"), 1, "{exp:?}");
+    assert_eq!(latency_count(&exp, "mis2", "artifact_hit"), 1, "{exp:?}");
+    assert_eq!(latency_count(&exp, "mis2", "resp_hit"), 0, "{exp:?}");
+    // The outcome labels reconcile with the registry's own counters.
+    assert_eq!(exp.value("mis2_cache_hits_total"), Some(1), "{exp:?}");
+    assert_eq!(exp.value("mis2_cache_misses_total"), Some(1), "{exp:?}");
+    // Both went through the scheduler, so both have queue and run stages.
+    assert_eq!(stage_count(&exp, "queue"), 2);
+    assert_eq!(stage_count(&exp, "run"), 2);
+    handle.shutdown();
+}
